@@ -191,24 +191,29 @@ pub fn now() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-/// Time `setup` repeatedly and return the median seconds and the last
-/// result: at least 5 times and until a second has gone by, at most 50
-/// times, so set-ups of a few milliseconds still give a steady median.
-pub fn timed_setups<T>(mut setup: impl FnMut() -> T) -> (f64, T) {
+/// Time `setup` at least `min` times and until `budget` seconds have gone
+/// by, at most 50 times, appending each duration to `secs`; returns the
+/// last result. Many repeats keep the median of a set-up of a few
+/// milliseconds steady.
+pub fn time_setups<T>(
+    secs: &mut Vec<f64>,
+    min: usize,
+    budget: f64,
+    mut setup: impl FnMut() -> T,
+) -> T {
     let started = now();
-    let mut secs = Vec::new();
     let mut last = None;
-    while secs.len() < 5 || (secs.len() < 50 && started.elapsed().as_secs_f64() < 1.0) {
+    let mut n = 0;
+    while n < min || (n < 50 && started.elapsed().as_secs_f64() < budget) {
         // The previous result is torn down outside the timed window.
         drop(last.take());
         let t = now();
         let made = setup();
         secs.push(t.elapsed().as_secs_f64());
         last = Some(made);
+        n += 1;
     }
-    let median = stats::median(&secs);
-    eprintln!("{} set-ups, median {median:.6} s", secs.len());
-    (median, last.expect("at least one set-up"))
+    last.expect("at least one set-up")
 }
 
 /// Write a trace file; a failure to write is reported, not fatal.
