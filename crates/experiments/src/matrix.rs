@@ -2341,6 +2341,43 @@ mod tests {
         }
     }
 
+    /// The NCF record pin: NCF cells produce records byte-identical to the
+    /// checked-in reference generated before the item projection was
+    /// hoisted out of the per-user scoring loop, modulo the volatile
+    /// fields. A byte of drift here means NCF training, scoring,
+    /// evaluation or serialization changed.
+    #[test]
+    fn ncf_records_match_the_pre_hoist_reference() {
+        let reference = include_str!("../testdata/ncf_tiny_reference.jsonl");
+        let cfg = MatrixConfig {
+            eval_every: 2,
+            epochs: Some(4),
+            ..MatrixConfig::at_scale(ScalePreset::Tiny, 42)
+        };
+        let cells = [
+            (AttackMethod::Random, DefenseKind::TrimmedMean, 0.01),
+            (AttackMethod::Popular, DefenseKind::DetectorGated, 0.01),
+            (AttackMethod::FedRecAttack, DefenseKind::None, 0.01),
+            (AttackMethod::None, DefenseKind::None, 0.0),
+        ];
+        let mut produced = Vec::new();
+        for (attack, defense, rho) in cells {
+            let cell = CellSpec {
+                model: ModelKind::Ncf,
+                attack,
+                defense,
+                rho,
+            };
+            produced.extend(run_cell(&cfg, &cell));
+        }
+        let old: Vec<String> = reference.lines().map(volatile_invariant).collect();
+        let new: Vec<String> = produced.iter().map(|l| volatile_invariant(l)).collect();
+        assert_eq!(old.len(), new.len());
+        for (o, n) in old.iter().zip(&new) {
+            assert_eq!(o, n, "NCF record drifted from the reference");
+        }
+    }
+
     /// NCF grid cells at miniature scale: records validate, carry the
     /// `ncf` model field and `ncf_`-prefixed ids, always evaluate in
     /// `full` mode (even when the grid asks for pruned), never serve,
