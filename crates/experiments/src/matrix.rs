@@ -78,7 +78,7 @@ use fedrec_federated::history::{RoundDefense, TrainingHistory};
 use fedrec_federated::server::SumAggregator;
 use fedrec_federated::simulation::Snapshot;
 use fedrec_federated::{FaultPlan, Simulation, StoreBackend};
-use fedrec_ncf::{NcfClientModel, NcfModel, Theta};
+use fedrec_ncf::{ItemProjection, NcfClientModel, Theta};
 use fedrec_recsys::eval::{EvalReport, Evaluator};
 use fedrec_recsys::metrics::MetricsAccumulator;
 use fedrec_recsys::scorer::{DenseScores, PrunedItems, PrunedScores};
@@ -933,10 +933,13 @@ struct CellEval<'w> {
 impl CellEval<'_> {
     /// The NCF sweep: score every item for each user in the eval span
     /// through the MLP and feed the same accumulator as the MF paths.
-    /// Users are processed in fixed [`EVAL_SHARD_ROWS`] shards with
-    /// per-shard accumulators merged in order — the identical summation
-    /// order as the streamed MF sweep, so the report is independent of
-    /// backend and thread count by construction.
+    /// The item projection is built once per pass and shared read-only
+    /// by every worker. Users are processed in fixed [`EVAL_SHARD_ROWS`]
+    /// shards, claimed by up to `threads` workers through an atomic
+    /// cursor, and the per-shard accumulators are merged in shard-index
+    /// order — the identical summation order as the streamed MF sweep, so
+    /// the report is independent of backend and thread count by
+    /// construction.
     fn run_ncf(
         &self,
         hidden: usize,
@@ -946,29 +949,54 @@ impl CellEval<'_> {
         users: &dyn fedrec_recsys::UserRowSource,
     ) -> (EvalReport, EvalCounters) {
         let theta = Theta::from_flat(hidden, k, shared);
+        let proj = ItemProjection::new(&theta, items);
         let m = items.rows();
-        let mut total = MetricsAccumulator::new();
-        let mut row = vec![0.0f32; items.cols()];
-        let mut scores = vec![0.0f32; m];
-        let mut lo = 0usize;
-        while lo < self.eval_users {
-            let hi = (lo + EVAL_SHARD_ROWS).min(self.eval_users);
-            let mut acc = MetricsAccumulator::new();
-            for u in lo..hi {
-                users.write_user_row(u, &mut row);
-                NcfModel::scores_for_vector(&theta, items, &row, &mut scores);
-                let mut src = DenseScores::new(&scores);
-                acc.push_user_attack(
-                    &mut src,
-                    self.source.user_items(u),
-                    self.evaluator.targets(),
-                );
-                if let Some(test_item) = self.test.get(u).copied().flatten() {
-                    acc.push_user_hr(&mut src, test_item, self.evaluator.hr_negatives(u));
+        let num_shards = self.eval_users.div_ceil(EVAL_SHARD_ROWS);
+        let cursor = AtomicUsize::new(0);
+        let run_worker = || -> Vec<(usize, MetricsAccumulator)> {
+            let mut row = vec![0.0f32; items.cols()];
+            let mut scores = vec![0.0f32; m];
+            let mut done = Vec::new();
+            loop {
+                let si = cursor.fetch_add(1, Ordering::Relaxed);
+                if si >= num_shards {
+                    return done;
                 }
+                let lo = si * EVAL_SHARD_ROWS;
+                let hi = (lo + EVAL_SHARD_ROWS).min(self.eval_users);
+                let mut acc = MetricsAccumulator::new();
+                for u in lo..hi {
+                    users.write_user_row(u, &mut row);
+                    proj.scores(&row, &mut scores);
+                    let mut src = DenseScores::new(&scores);
+                    acc.push_user_attack(
+                        &mut src,
+                        self.source.user_items(u),
+                        self.evaluator.targets(),
+                    );
+                    if let Some(test_item) = self.test.get(u).copied().flatten() {
+                        acc.push_user_hr(&mut src, test_item, self.evaluator.hr_negatives(u));
+                    }
+                }
+                done.push((si, acc));
             }
-            total.merge(&acc);
-            lo = hi;
+        };
+        let workers = self.threads.min(num_shards.max(1));
+        let mut per_shard = if workers <= 1 {
+            run_worker()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_worker)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("NCF eval worker panicked"))
+                    .collect()
+            })
+        };
+        per_shard.sort_unstable_by_key(|(si, _)| *si);
+        let mut total = MetricsAccumulator::new();
+        for (_, acc) in &per_shard {
+            total.merge(acc);
         }
         let rep = EvalReport {
             attack: total.attack_metrics(),
@@ -2426,6 +2454,39 @@ mod tests {
             .parse()
             .unwrap();
         assert!(hr > 0.0, "NCF eval produced no hit-rate signal");
+    }
+
+    /// NCF evaluation fans its user shards over `eval_threads` workers and
+    /// merges them in shard order, so the records are byte-identical at
+    /// every thread count. The smoke50k eval span covers two shards, so
+    /// the workers really split it.
+    #[test]
+    fn ncf_records_are_eval_thread_invariant() {
+        let base = MatrixConfig {
+            eval_every: 1,
+            epochs: Some(2),
+            ..MatrixConfig::at_scale(ScalePreset::Smoke50k, 61)
+        };
+        assert!(base.eval_users > EVAL_SHARD_ROWS);
+        let cell = CellSpec {
+            model: ModelKind::Ncf,
+            attack: AttackMethod::Random,
+            defense: DefenseKind::None,
+            rho: 0.01,
+        };
+        let single = run_cell(&base, &cell);
+        assert!(single.len() >= 2);
+        for threads in [2usize, 8] {
+            let cfg = MatrixConfig {
+                eval_threads: threads,
+                ..base.clone()
+            };
+            assert_eq!(
+                vol(&run_cell(&cfg, &cell)),
+                vol(&single),
+                "NCF records diverged at {threads} eval threads"
+            );
+        }
     }
 
     /// The crash-resume gate extended to NCF: a faulted NCF cell killed

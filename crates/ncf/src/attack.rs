@@ -20,7 +20,7 @@
 //!   shared function for all items, so collateral accuracy damage is
 //!   structural (the tests measure it).
 
-use crate::model::NcfModel;
+use crate::model::{ItemProjection, NcfModel};
 use crate::theta::Theta;
 use fedrec_attack::upload::{select_item_set, take_upload};
 use fedrec_data::PublicView;
@@ -162,9 +162,10 @@ impl NcfFedRecAttack {
         let mut grad = Matrix::zeros(m, items.cols());
         let mut scores = vec![0.0f32; m];
         let fetch = self.top_k + self.targets.len();
+        let proj = ItemProjection::new(theta, items);
         for ui in 0..u_hat.rows() {
             let u = u_hat.row(ui);
-            NcfModel::scores_for_vector(theta, items, u, &mut scores);
+            proj.scores(u, &mut scores);
             let exclude = self.public.user_items(ui);
             let extended = topk::top_k_excluding(&scores, exclude, fetch);
             let mut margin_item: Option<u32> = None;
@@ -409,13 +410,9 @@ mod tests {
         let model = sim.model();
         let mut scores = vec![0.0f32; train.num_items()];
         let mut total = 0.0f64;
+        let proj = ItemProjection::new(&model.theta, &model.item_factors);
         for u in 0..train.num_users() {
-            crate::model::NcfModel::scores_for_vector(
-                &model.theta,
-                &model.item_factors,
-                model.user_factors.row(u),
-                &mut scores,
-            );
+            proj.scores(model.user_factors.row(u), &mut scores);
             if let Some(r) = topk::rank_of(&scores, train.user_items(u), target) {
                 total += r as f64;
             }

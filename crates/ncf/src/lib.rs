@@ -47,6 +47,6 @@ pub mod sim;
 pub mod theta;
 
 pub use client_model::{NcfAdversaryBridge, NcfClientModel};
-pub use model::NcfModel;
+pub use model::{ItemProjection, NcfModel};
 pub use sim::{NcfConfig, NcfSimulation};
 pub use theta::Theta;

@@ -116,52 +116,14 @@ impl NcfModel {
         self.forward(user, item).score
     }
 
-    /// Scores of every item for an explicit user vector.
+    /// Scores of every item for an explicit user vector: builds the
+    /// [`ItemProjection`] of `(theta, items)` and scores `u` through it.
     ///
-    /// Algebraically the same pass as [`Self::forward_vec`] per item, but
-    /// restructured around the shared scoring kernel: the user half of
-    /// each hidden pre-activation `pre_h = W₁[h,..k]·u + W₁[h,k..]·v + b₁[h]`
-    /// is item-independent and hoisted, and the item halves are batched
-    /// through [`kernel::score_rows`] tile by tile — no per-item
-    /// allocation. (Sum association differs from `forward_vec`, so scores
-    /// agree to rounding, not bitwise.)
+    /// A caller scoring many users against the same `(Θ, V)` should build
+    /// the projection once and call [`ItemProjection::scores`] per user;
+    /// both give the same bits.
     pub fn scores_for_vector(theta: &Theta, items: &Matrix, u: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), items.rows());
-        let k = theta.k;
-        assert_eq!(u.len(), k, "user vector dimension");
-        assert_eq!(items.cols(), k, "item dimension");
-        let hdim = theta.hidden;
-        let mut user_part = Vec::with_capacity(hdim);
-        for hrow in 0..hdim {
-            user_part.push(vector::dot(&theta.w1_row(hrow)[..k], u) + theta.b1()[hrow]);
-        }
-        const TILE: usize = 256;
-        let mut cols = vec![0.0f32; hdim * TILE];
-        let mut lo = 0usize;
-        while lo < items.rows() {
-            let hi = (lo + TILE).min(items.rows());
-            let t = hi - lo;
-            let tile_rows = &items.as_slice()[lo * k..hi * k];
-            for hrow in 0..hdim {
-                kernel::score_rows(
-                    tile_rows,
-                    k,
-                    &theta.w1_row(hrow)[k..],
-                    &mut cols[hrow * t..(hrow + 1) * t],
-                );
-            }
-            for ti in 0..t {
-                let mut score = theta.b2();
-                for hrow in 0..hdim {
-                    let pre = user_part[hrow] + cols[hrow * t + ti];
-                    if pre > 0.0 {
-                        score += theta.w2()[hrow] * pre;
-                    }
-                }
-                out[lo + ti] = score;
-            }
-            lo = hi;
-        }
+        ItemProjection::new(theta, items).scores(u, out);
     }
 
     /// Backward pass: gradients of `coeff · x̂` for one cached forward.
@@ -230,6 +192,128 @@ impl NcfModel {
         }
         (loss, grad_u, grad_items, grad_theta)
     }
+}
+
+/// Item tile of the projection build: 256 rows of `V` stay cache-resident
+/// while all `H` item halves of `W₁` sweep them.
+const PROJECTION_TILE: usize = 256;
+
+/// The user-independent half of every hidden pre-activation, computed
+/// once per `(Θ, V)` version: `P[h][i] = W₁[h,k..]·v_i`.
+///
+/// Each hidden pre-activation splits as
+/// `pre_h = (W₁[h,..k]·u + b₁[h]) + P[h][i]`. Scoring a user then costs
+/// `H` dots of length `k` plus an `H × m` epilogue, instead of the
+/// `H × m` dots of length `k` that `P` itself takes.
+///
+/// The scores are bit-identical to the per-item-tile formulation that
+/// recomputed `P` for every user. The packed `H × k` block of item halves
+/// goes through [`kernel::score_block`], whose every entry is exactly
+/// [`vector::dot`] of the same two rows, so `P` holds the same bits that
+/// formulation's per-tile [`kernel::score_rows`] calls produced. The
+/// epilogue performs the same float operations in the same order. (Sum
+/// association differs from [`NcfModel::forward_vec`], so scores agree
+/// with it to rounding, not bitwise.)
+#[derive(Debug)]
+pub struct ItemProjection<'t> {
+    theta: &'t Theta,
+    items: usize,
+    /// `H × m`, hidden-unit major: `proj[h * m + i] = P[h][i]`.
+    proj: Vec<f32>,
+}
+
+impl<'t> ItemProjection<'t> {
+    /// Project every row of `items` through the item halves of `W₁`.
+    pub fn new(theta: &'t Theta, items: &Matrix) -> Self {
+        let k = theta.k;
+        assert_eq!(items.cols(), k, "item dimension");
+        let hdim = theta.hidden;
+        let m = items.rows();
+        let mut halves = Vec::with_capacity(hdim * k);
+        for hrow in 0..hdim {
+            halves.extend_from_slice(&theta.w1_row(hrow)[k..]);
+        }
+        let mut proj = vec![0.0f32; hdim * m];
+        let mut tile = vec![0.0f32; hdim * PROJECTION_TILE];
+        for (ti, tile_rows) in items.as_slice().chunks(PROJECTION_TILE * k).enumerate() {
+            let lo = ti * PROJECTION_TILE;
+            let t = tile_rows.len() / k;
+            kernel::score_block(&halves, tile_rows, k, &mut tile[..hdim * t]);
+            for hrow in 0..hdim {
+                proj[hrow * m + lo..hrow * m + lo + t]
+                    .copy_from_slice(&tile[hrow * t..(hrow + 1) * t]);
+            }
+        }
+        Self {
+            theta,
+            items: m,
+            proj,
+        }
+    }
+
+    /// Scores of every item for the user vector `u`:
+    /// `out[i] = b₂ + Σ_h w₂[h]·relu(W₁[h,..k]·u + b₁[h] + P[h][i])`,
+    /// summed over `h` ascending and skipping units whose `pre` is not
+    /// positive.
+    pub fn scores(&self, u: &[f32], out: &mut [f32]) {
+        let theta = self.theta;
+        let k = theta.k;
+        assert_eq!(u.len(), k, "user vector dimension");
+        assert_eq!(out.len(), self.items);
+        let user_parts: Vec<f32> = (0..theta.hidden)
+            .map(|hrow| vector::dot(&theta.w1_row(hrow)[..k], u) + theta.b1()[hrow])
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: gated on runtime AVX2 support.
+            unsafe {
+                return relu_epilogue_avx2(&self.proj, &user_parts, theta.w2(), theta.b2(), out);
+            };
+        }
+        relu_epilogue(&self.proj, &user_parts, theta.w2(), theta.b2(), out);
+    }
+}
+
+/// The per-user half of [`ItemProjection::scores`] over the hidden-major
+/// projection `proj` (`user_parts.len() × out.len()`).
+///
+/// Units go outermost so each pass over `out` is a branch-free select the
+/// compiler vectorizes; every item still sees the units in ascending
+/// order, so its sum is the same sequence of roundings as the per-item
+/// loop. The select keeps a skipped unit from adding even a signed zero.
+#[inline(always)]
+fn relu_epilogue(proj: &[f32], user_parts: &[f32], w2: &[f32], b2: f32, out: &mut [f32]) {
+    let m = out.len();
+    out.fill(b2);
+    for (hrow, (&user_part, &w)) in user_parts.iter().zip(w2).enumerate() {
+        for (score, &p) in out.iter_mut().zip(&proj[hrow * m..(hrow + 1) * m]) {
+            let pre = user_part + p;
+            *score = if pre > 0.0 { *score + w * pre } else { *score };
+        }
+    }
+}
+
+/// AVX2 build of [`relu_epilogue`]: 8-wide compares, multiplies, adds and
+/// blends. Each is one IEEE-754 single rounding per lane, as in the scalar
+/// build, and Rust never contracts the multiply-add into an FMA, so the
+/// bits are the same.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (runtime-detected in
+/// `ItemProjection::scores`); the body is safe code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: caller guarantees AVX2 is available (runtime-detected in
+// `ItemProjection::scores`); the body is safe code.
+unsafe fn relu_epilogue_avx2(
+    proj: &[f32],
+    user_parts: &[f32],
+    w2: &[f32],
+    b2: f32,
+    out: &mut [f32],
+) {
+    relu_epilogue(proj, user_parts, w2, b2, out);
 }
 
 #[cfg(test)]
@@ -357,6 +441,97 @@ mod tests {
         assert_eq!(m.theta.hidden, 6);
         assert_eq!(m.k(), 4);
         let _ = m.predict(0, 0);
+    }
+
+    /// The formulation [`ItemProjection`] replaced: the user halves
+    /// hoisted, the item halves recomputed for every user tile by tile
+    /// through [`kernel::score_rows`]. Kept as the bitwise oracle.
+    fn per_tile_scores_oracle(theta: &Theta, items: &Matrix, u: &[f32], out: &mut [f32]) {
+        let k = theta.k;
+        let hdim = theta.hidden;
+        let mut user_part = Vec::with_capacity(hdim);
+        for hrow in 0..hdim {
+            user_part.push(vector::dot(&theta.w1_row(hrow)[..k], u) + theta.b1()[hrow]);
+        }
+        const TILE: usize = 256;
+        let mut cols = vec![0.0f32; hdim * TILE];
+        let mut lo = 0usize;
+        while lo < items.rows() {
+            let hi = (lo + TILE).min(items.rows());
+            let t = hi - lo;
+            let tile_rows = &items.as_slice()[lo * k..hi * k];
+            for hrow in 0..hdim {
+                kernel::score_rows(
+                    tile_rows,
+                    k,
+                    &theta.w1_row(hrow)[k..],
+                    &mut cols[hrow * t..(hrow + 1) * t],
+                );
+            }
+            for ti in 0..t {
+                let mut score = theta.b2();
+                for hrow in 0..hdim {
+                    let pre = user_part[hrow] + cols[hrow * t + ti];
+                    if pre > 0.0 {
+                        score += theta.w2()[hrow] * pre;
+                    }
+                }
+                out[lo + ti] = score;
+            }
+            lo = hi;
+        }
+    }
+
+    /// The projected path equals the per-tile oracle bit for bit across
+    /// tile boundaries, with a negative `w₂`, a negative-zero `b₂`, a
+    /// hidden unit whose `pre` is exactly `0.0`, an all-zero item row and
+    /// a NaN in an item row.
+    #[test]
+    fn projected_scores_are_bitwise_the_per_tile_oracle() {
+        let (hidden, k) = (16, 13);
+        for m in [1usize, 255, 256, 257, 1000] {
+            for nan_row in [None, Some(m - 1)] {
+                let mut rng = SeededRng::new(29 + m as u64);
+                let mut theta = Theta::init(hidden, k, &mut rng);
+                theta.w2_mut()[0] = -0.75;
+                // A negative-zero b₂ survives only if a skipped unit adds
+                // nothing, not even +0.0 (the NaN row skips every unit).
+                *theta.b2_mut() = -0.0;
+                // Unit 1 has no weights and no bias: pre is exactly 0.0.
+                theta.w1_row_mut(1).fill(0.0);
+                theta.b1_mut()[1] = 0.0;
+                let mut items = Matrix::random_normal(m, k, 0.0, 0.3, &mut rng);
+                if nan_row != Some(0) {
+                    items.row_mut(0).fill(0.0);
+                }
+                if let Some(r) = nan_row {
+                    items.row_mut(r)[k / 2] = f32::NAN;
+                }
+                let mut users: Vec<Vec<f32>> = (0..4)
+                    .map(|_| (0..k).map(|_| rng.normal(0.0, 0.5)).collect())
+                    .collect();
+                users.push(vec![0.0; k]);
+                let proj = ItemProjection::new(&theta, &items);
+                let mut want = vec![0.0f32; m];
+                let mut got = vec![0.0f32; m];
+                let mut single = vec![0.0f32; m];
+                for u in &users {
+                    per_tile_scores_oracle(&theta, &items, u, &mut want);
+                    proj.scores(u, &mut got);
+                    NcfModel::scores_for_vector(&theta, &items, u, &mut single);
+                    for i in 0..m {
+                        assert_eq!(
+                            got[i].to_bits(),
+                            want[i].to_bits(),
+                            "m={m} nan_row={nan_row:?} item {i}: {} vs {}",
+                            got[i],
+                            want[i]
+                        );
+                        assert_eq!(single[i].to_bits(), want[i].to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::attack::NcfAdversary;
 use crate::client_model::{NcfAdversaryBridge, NcfClientModel};
-use crate::model::NcfModel;
+use crate::model::{ItemProjection, NcfModel};
 use crate::theta::Theta;
 use fedrec_data::Dataset;
 use fedrec_federated::server::SumAggregator;
@@ -164,13 +164,9 @@ impl NcfSimulation {
         let mut acc = MetricsAccumulator::new();
         let mut rng = SeededRng::new(seed);
         let mut scores = vec![0.0f32; train.num_items()];
+        let proj = ItemProjection::new(&model.theta, &model.item_factors);
         for (u, t) in test.iter().enumerate() {
-            NcfModel::scores_for_vector(
-                &model.theta,
-                &model.item_factors,
-                model.user_factors.row(u),
-                &mut scores,
-            );
+            proj.scores(model.user_factors.row(u), &mut scores);
             acc.push_user_attack(&mut DenseScores::new(&scores), train.user_items(u), targets);
             if let Some(test_item) = *t {
                 let pos = train.user_items(u);
